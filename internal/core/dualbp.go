@@ -163,9 +163,12 @@ type dualBPGen struct {
 	cand *atomic.Int64 // owner's candidate counter (may be nil)
 }
 
-func (g *dualBPGen) countCandidate() {
+// addCandidates adds one scan's entry count to the owner's counter. Scans
+// count into a local and add once, so concurrent subqueries do not contend
+// on the shared counter per entry.
+func (g *dualBPGen) addCandidates(n int64) {
 	if g.cand != nil {
-		g.cand.Add(1)
+		g.cand.Add(n)
 	}
 }
 
@@ -300,11 +303,14 @@ func (g *dualBPGen) lemma1Split(q dual.MORQuery) (jLo, jHi int) {
 // subterrainScan answers the time-overlap subquery of one whole subterrain
 // exactly from its interval index.
 func (g *dualBPGen) subterrainScan(j int, q dual.MORQuery, emit func(dual.OID)) error {
-	return g.sub[j].Overlapping(q.T1-g.tref, q.T2-g.tref, func(_, _ float64, v uint64) bool {
-		g.countCandidate()
+	var n int64
+	err := g.sub[j].Overlapping(q.T1-g.tref, q.T2-g.tref, func(_, _ float64, v uint64) bool {
+		n++
 		emit(dual.OID(v))
 		return true
 	})
+	g.addCandidates(n)
+	return err
 }
 
 // Query answers the MOR query per §3.5.2.
@@ -387,14 +393,17 @@ func (g *dualBPGen) bestObservation(q dual.MORQuery) int {
 func (g *dualBPGen) signScan(q dual.MORQuery, obs int, positive bool, emit func(dual.OID)) error {
 	yr := g.yr(obs)
 	bLo, bHi := dual.HoughYRect(q, yr, g.cfg.Terrain, positive)
-	return g.obs(obs, positive).Range(bLo-g.tref, bHi-g.tref, func(e bptree.Entry) bool {
-		g.countCandidate()
+	var n int64
+	err := g.obs(obs, positive).Range(bLo-g.tref, bHi-g.tref, func(e bptree.Entry) bool {
+		n++
 		m := dual.MotionFromHoughY(dual.OID(e.Val), e.Aux, e.Key+g.tref, yr)
 		if m.Matches(q) {
 			emit(m.OID)
 		}
 		return true
 	})
+	g.addCandidates(n)
+	return err
 }
 
 // smallQuery answers a query whose spatial extent is at most one

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"mobidx/internal/dual"
@@ -108,33 +110,63 @@ func (e *Executor) RunCtx(ctx context.Context, tasks []func() error) error {
 	return ctxErr
 }
 
-// MergeOIDs concatenates per-task result buckets, sorts ascending, and
-// removes duplicates in place. Because each subquery's emissions are
-// deterministic and scheduling only permutes whole buckets, the merged
-// slice is byte-identical for every worker count — the property the
-// differential tests pin down. Package twod uses it to merge its per-axis
-// and per-quadrant buckets.
+// MergeOIDs returns the ascending, deduplicated union of per-task result
+// buckets; the buckets themselves are left untouched. Because each
+// subquery's emissions are deterministic and scheduling only permutes
+// whole buckets, the merged slice is byte-identical for every worker count
+// — the property the differential tests pin down. Every union on the
+// serving path goes through it: the Dual-B+ subquery merge, the router's
+// fan-out merge, and package twod's per-axis and per-quadrant buckets.
+//
+// The path is chosen from the n emissions alone. When the OID span
+// [min, max] fits in a bitmap of at most n 64-bit words — wide queries,
+// whose answers cover a large share of the OID space — each emission sets
+// one bit and a trailing-zeros scan writes the answer already sorted, in
+// O(n) time. A sparser span, where the bitmap would cost more than it
+// saves, falls back to sorting the concatenation in O(n log n). Memory is
+// O(n) for any OID distribution, including OIDs near math.MaxUint64.
 func MergeOIDs(buckets [][]dual.OID) []dual.OID {
 	n := 0
+	lo, hi := dual.OID(math.MaxUint64), dual.OID(0)
 	for _, b := range buckets {
 		n += len(b)
+		for _, id := range b {
+			lo = min(lo, id)
+			hi = max(hi, id)
+		}
 	}
 	if n == 0 {
 		return nil
+	}
+	if words := uint64(hi-lo)/64 + 1; words <= uint64(n) {
+		set := make([]uint64, words)
+		for _, b := range buckets {
+			for _, id := range b {
+				off := uint64(id - lo)
+				set[off/64] |= 1 << (off % 64)
+			}
+		}
+		size := 0
+		for _, w := range set {
+			size += bits.OnesCount64(w)
+		}
+		out := make([]dual.OID, size)
+		k := 0
+		for i, w := range set {
+			base := lo + dual.OID(i)*64
+			for ; w != 0; w &= w - 1 {
+				out[k] = base + dual.OID(bits.TrailingZeros64(w))
+				k++
+			}
+		}
+		return out
 	}
 	out := make([]dual.OID, 0, n)
 	for _, b := range buckets {
 		out = append(out, b...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[i-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RunSubqueries runs a set of emit-style subqueries on the executor, each

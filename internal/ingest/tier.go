@@ -519,7 +519,7 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 	// answer, not the delta. Sequential executors run the subqueries
 	// inline with the mask fused into the emit path (no bucket slices, no
 	// k-way merge); duplicate emissions across subqueries are normalized
-	// by the final sort+dedup either way, so both paths return the same
+	// by the final merge either way, so both paths return the same
 	// bytes.
 	var out []dual.OID
 	if exec == nil || exec.Workers() <= 1 {
@@ -572,23 +572,9 @@ func (t *Tier) QueryParallelCtx(ctx context.Context, exec *core.Executor, q dual
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	// Base survivors and delta members are disjoint by construction; the
-	// dedup guards the contract, not an expected case.
-	out = dedupOIDs(out)
-	return out, nil
-}
-
-func dedupOIDs(ids []dual.OID) []dual.OID {
-	j := 0
-	for i, id := range ids {
-		if i > 0 && id == ids[j-1] {
-			continue
-		}
-		ids[j] = id
-		j++
-	}
-	return ids[:j]
+	// merge sorts them and drops the sequential path's repeat emissions.
+	return core.MergeOIDs([][]dual.OID{out}), nil
 }
 
 // Close marks the tier closed; further operations fail with ErrClosed.

@@ -119,5 +119,6 @@ go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzKineticBoundary$' -fuzztime=10s
 go test ./internal/ingest -run '^$' -fuzz '^FuzzBloom$' -fuzztime=10s
+go test ./internal/core -run '^$' -fuzz '^FuzzMergeOIDs$' -fuzztime=10s
 
 echo "verify: all checks passed"
