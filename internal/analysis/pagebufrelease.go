@@ -9,19 +9,23 @@ import (
 // PageBufRelease checks that every scratch buffer obtained from
 // pager.GetPageBuf is returned to the pool with Release() on every path
 // out of the acquiring function — including early error returns, the
-// classic way a pooled buffer leaks. The analysis is a CFG-lite forward
-// walk over the statement tree: it clones the live-buffer set at every
-// branch, merges the states of branches that fall through, and reports
-// any return reached with an unreleased buffer.
+// classic way a pooled buffer leaks. The same holds for pooled page
+// images: a *pager.Page variable that a function Releases anywhere must
+// be Released on every path after each call that assigns it. The
+// analysis is a CFG-lite forward walk over the statement tree: it clones
+// the live-buffer set at every branch, merges the states of branches that
+// fall through, and reports any return reached with an unreleased buffer.
 //
 // Ownership transfers are recognized conservatively: passing the buffer
-// itself (not its .B bytes) to another function, returning it, storing
-// it anywhere, or capturing it in a closure all end tracking, so the
-// pass never reports a buffer whose lifetime legitimately escapes the
-// function.
+// itself (not its .B or .Data bytes) to another function, returning it,
+// storing it anywhere, or capturing it in a closure all end tracking, so
+// the pass never reports a buffer whose lifetime legitimately escapes the
+// function. A call that returns a page together with an error returns no
+// page when the error is set, so the `if err != nil` branch right after
+// it (before err is assigned again) owes no Release.
 var PageBufRelease = &Pass{
 	Name: "pagebufrelease",
-	Doc:  "every pager.GetPageBuf must be paired with Release() on all return paths",
+	Doc:  "every pager.GetPageBuf, and every *pager.Page the function Releases, is Released on all return paths",
 	Run:  runPageBufRelease,
 }
 
@@ -29,6 +33,8 @@ func runPageBufRelease(pkg *Package) []Diagnostic {
 	r := &bufReleaseChecker{pkg: pkg}
 	for _, file := range pkg.Files {
 		for _, fn := range funcBodies(file) {
+			r.pages = r.releasedPages(fn.body)
+			r.errPages = map[*types.Var][]*types.Var{}
 			live := bufLive{}
 			fallsThrough := r.stmts(fn.body.List, live)
 			if fallsThrough {
@@ -53,14 +59,67 @@ func (l bufLive) clone() bufLive {
 type bufReleaseChecker struct {
 	pkg   *Package
 	diags []Diagnostic
+	// pages are the current function's *pager.Page variables that it
+	// Releases somewhere: the ones whose acquisitions are tracked.
+	pages map[*types.Var]bool
+	// errPages maps an error variable to the pages acquired by the call
+	// that last assigned it.
+	errPages map[*types.Var][]*types.Var
+}
+
+// origin names where a tracked variable's buffer comes from.
+func (r *bufReleaseChecker) origin(v *types.Var) string {
+	if r.pages[v] {
+		return "read into a pooled *pager.Page"
+	}
+	return "acquired from pager.GetPageBuf"
 }
 
 func (r *bufReleaseChecker) reportLive(live bufLive, at token.Pos, where string) {
 	for v, acquired := range live {
 		r.diags = append(r.diags, r.pkg.diag("pagebufrelease", at,
-			"%s acquired from pager.GetPageBuf at line %d is not Released on the path reaching %s",
-			v.Name(), r.pkg.line(acquired), where))
+			"%s %s at line %d is not Released on the path reaching %s",
+			v.Name(), r.origin(v), r.pkg.line(acquired), where))
 	}
+}
+
+// releasedPages returns the *pager.Page variables on which body calls
+// Release(), not counting nested function literals (analyzed on their
+// own).
+func (r *bufReleaseChecker) releasedPages(body *ast.BlockStmt) map[*types.Var]bool {
+	out := map[*types.Var]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			sel, ok := unparen(n.Fun).(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "Release" || len(n.Args) != 0 {
+				return true
+			}
+			if id, ok := unparen(sel.X).(*ast.Ident); ok {
+				if v := r.objOf(id); v != nil && isPagerPtr(v.Type(), "Page") {
+					out[v] = true
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// isPagerPtr reports whether t is *pager.<name>.
+func isPagerPtr(t types.Type, name string) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Name() == "pager"
 }
 
 // stmts walks a statement list, mutating live, and reports whether
@@ -122,6 +181,9 @@ func (r *bufReleaseChecker) stmt(s ast.Stmt, live bufLive) bool {
 		}
 		r.escapes(s.Cond, live)
 		thenLive := live.clone()
+		for _, v := range r.pagesUnsetWhen(s.Cond) {
+			delete(thenLive, v)
+		}
 		thenFT := r.stmts(s.Body.List, thenLive)
 		elseLive := live.clone()
 		elseFT := true
@@ -175,8 +237,8 @@ func (r *bufReleaseChecker) loopBody(body *ast.BlockStmt, live bufLive) {
 		for v, acquired := range inner {
 			if _, outer := live[v]; !outer {
 				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", acquired,
-					"%s acquired from pager.GetPageBuf is not Released by the end of the loop iteration",
-					v.Name()))
+					"%s %s is not Released by the end of the loop iteration",
+					v.Name(), r.origin(v)))
 			}
 		}
 	}
@@ -257,13 +319,59 @@ func mergeBranches(live bufLive, states []bufLive, falls []bool) {
 	}
 }
 
-// assign tracks GetPageBuf acquisitions and scans everything else on the
-// statement for escapes.
+// pagesUnsetWhen returns the pages that hold nothing when cond is true:
+// cond is `err != nil` and err was last assigned by the call that
+// acquired them.
+func (r *bufReleaseChecker) pagesUnsetWhen(cond ast.Expr) []*types.Var {
+	be, ok := unparen(cond).(*ast.BinaryExpr)
+	if !ok || be.Op != token.NEQ {
+		return nil
+	}
+	id, ok := unparen(be.X).(*ast.Ident)
+	if nilID, isID := unparen(be.Y).(*ast.Ident); !ok || !isID || nilID.Name != "nil" {
+		return nil
+	}
+	if v := r.objOf(id); v != nil {
+		return r.errPages[v]
+	}
+	return nil
+}
+
+// acquire starts tracking v, reporting an overwrite of a live buffer.
+func (r *bufReleaseChecker) acquire(v *types.Var, at token.Pos, live bufLive) {
+	if _, tracked := live[v]; tracked {
+		r.diags = append(r.diags, r.pkg.diag("pagebufrelease", at,
+			"%s is reassigned while still holding a buffer %s", v.Name(), r.origin(v)))
+	}
+	live[v] = at
+}
+
+// assign tracks GetPageBuf and page acquisitions and scans everything
+// else on the statement for escapes.
 func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
+	// Any assignment to an error variable ends its pairing with the
+	// pages of an earlier call.
+	for _, lhs := range s.Lhs {
+		if id, ok := lhs.(*ast.Ident); ok {
+			if v := r.objOf(id); v != nil {
+				delete(r.errPages, v)
+			}
+		}
+	}
+	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
+		if call, ok := unparen(s.Rhs[0]).(*ast.CallExpr); ok {
+			r.escapes(call, live)
+			r.assignPages(s, s.Lhs, live)
+			return
+		}
+	}
 	for i, rhs := range s.Rhs {
 		call, ok := unparen(rhs).(*ast.CallExpr)
 		if !ok || !r.isGetPageBuf(call) {
 			r.escapes(rhs, live)
+			if ok && i < len(s.Lhs) {
+				r.assignPages(s, s.Lhs[i:i+1], live)
+			}
 			continue
 		}
 		for _, arg := range call.Args {
@@ -284,18 +392,41 @@ func (r *bufReleaseChecker) assign(s *ast.AssignStmt, live bufLive) {
 			continue
 		}
 		if v := r.objOf(id); v != nil {
-			if _, tracked := live[v]; tracked {
-				r.diags = append(r.diags, r.pkg.diag("pagebufrelease", s.Pos(),
-					"%s is reassigned from pager.GetPageBuf while still holding an unreleased buffer", v.Name()))
-			}
-			live[v] = s.Pos()
+			r.acquire(v, s.Pos(), live)
 		}
 	}
 }
 
+// assignPages handles the left-hand sides assigned from one call's
+// results: each tracked page among them is acquired, and an error result
+// is paired with those pages.
+func (r *bufReleaseChecker) assignPages(s *ast.AssignStmt, lhs []ast.Expr, live bufLive) {
+	var got []*types.Var
+	var errVar *types.Var
+	for _, e := range lhs {
+		id, ok := e.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			continue
+		}
+		v := r.objOf(id)
+		switch {
+		case v == nil:
+		case r.pages[v]:
+			r.acquire(v, s.Pos(), live)
+			got = append(got, v)
+		case types.Identical(v.Type(), types.Universe.Lookup("error").Type()):
+			errVar = v
+		}
+	}
+	if errVar != nil && len(got) > 0 {
+		r.errPages[errVar] = got
+	}
+}
+
 // escapes removes from live every tracked variable that is used in a way
-// other than pb.Release() / pb.B: such a use hands the buffer to code
-// this pass cannot see, so requiring a local Release would be wrong.
+// other than a blessed selector (see blessed): such a use hands the
+// buffer to code this pass cannot see, so requiring a local Release would
+// be wrong.
 func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {
 	if e == nil || len(live) == 0 {
 		return
@@ -304,12 +435,13 @@ func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {
 	walk = func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			// pb.B and pb.Release are the blessed uses; anything else
-			// selected from a tracked variable is an escape.
+			// pb.B, p.Data, p.ID and Release are the blessed uses;
+			// anything else selected from a tracked variable is an
+			// escape.
 			if id, ok := unparen(n.X).(*ast.Ident); ok {
 				if v := r.objOf(id); v != nil {
 					if _, tracked := live[v]; tracked {
-						if n.Sel.Name == "B" || n.Sel.Name == "Release" {
+						if r.blessed(v, n.Sel.Name) {
 							return false
 						}
 						delete(live, v)
@@ -327,6 +459,18 @@ func (r *bufReleaseChecker) escapes(e ast.Expr, live bufLive) {
 		return true
 	}
 	ast.Inspect(e, walk)
+}
+
+// blessed reports whether selecting sel from tracked variable v leaves
+// the buffer in this function's hands.
+func (r *bufReleaseChecker) blessed(v *types.Var, sel string) bool {
+	if sel == "Release" {
+		return true
+	}
+	if r.pages[v] {
+		return sel == "Data" || sel == "ID"
+	}
+	return sel == "B"
 }
 
 // releaseTarget returns the tracked variable released by a pb.Release()

@@ -168,12 +168,17 @@ type node struct {
 	next    pager.PageID   // leaf chain
 }
 
+// readNode reads and decodes page id for the mutation paths. decode
+// copies everything it keeps, so the page image goes back to the pool
+// straight away.
 func (t *Tree) readNode(id pager.PageID) (*node, error) {
 	p, err := t.store.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	return t.decode(p)
+	n, err := t.decode(p)
+	p.Release()
+	return n, err
 }
 
 // decode parses a page into a node. Every structural field read from the
@@ -889,100 +894,6 @@ func writeAll(t *Tree, ns ...*node) error {
 		}
 	}
 	return nil
-}
-
-// Range calls fn for every entry with lo <= key <= hi, in (key, val)
-// order, until fn returns false. Keys are compared after codec rounding.
-func (t *Tree) Range(lo, hi float64, fn func(Entry) bool) error {
-	lo = t.codec.roundKey(lo)
-	hi = t.codec.roundKey(hi)
-	id := t.root
-	height := t.height
-	for height > 1 {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		id = n.kids[childIndex(n, lo, 0)]
-		height--
-	}
-	for id != pager.NilPage {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		for _, e := range n.entries[lowerBound(n.entries, lo, 0):] {
-			if e.Key > hi {
-				return nil
-			}
-			if !fn(e) {
-				return nil
-			}
-		}
-		id = n.next
-	}
-	return nil
-}
-
-// Floor returns the entry with the largest (key, val) whose key is <= key,
-// or ok=false when every key exceeds key.
-func (t *Tree) Floor(key float64) (Entry, bool, error) {
-	key = t.codec.roundKey(key)
-	return t.floorAt(t.root, t.height, key)
-}
-
-func (t *Tree) floorAt(id pager.PageID, height int, key float64) (Entry, bool, error) {
-	n, err := t.readNode(id)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	if n.leaf {
-		i := upperBound(n.entries, key, math.MaxUint64)
-		if i == 0 {
-			return Entry{}, false, nil
-		}
-		return n.entries[i-1], true, nil
-	}
-	for ci := childIndex(n, key, math.MaxUint64); ci >= 0; ci-- {
-		e, ok, err := t.floorAt(n.kids[ci], height-1, key)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if ok {
-			return e, true, nil
-		}
-	}
-	return Entry{}, false, nil
-}
-
-// Max returns the largest entry, or ok=false when the tree is empty.
-func (t *Tree) Max() (Entry, bool, error) {
-	return t.Floor(math.Inf(1))
-}
-
-// Min returns the smallest entry, or ok=false when the tree is empty.
-func (t *Tree) Min() (Entry, bool, error) {
-	id := t.root
-	height := t.height
-	for height > 1 {
-		n, err := t.readNode(id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		id = n.kids[0]
-		height--
-	}
-	for id != pager.NilPage {
-		n, err := t.readNode(id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if len(n.entries) > 0 {
-			return n.entries[0], true, nil
-		}
-		id = n.next
-	}
-	return Entry{}, false, nil
 }
 
 // Destroy frees every page of the tree, atomically on a batching store;

@@ -42,10 +42,7 @@ func TestInsertSearchSmall(t *testing.T) {
 	if tr.Len() != 100 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	var got []Entry
-	if err := tr.Range(10, 19, func(e Entry) bool { got = append(got, e); return true }); err != nil {
-		t.Fatal(err)
-	}
+	got := checkRangeRef(t, tr, 10, 19)
 	if len(got) != 10 {
 		t.Fatalf("range returned %d entries, want 10", len(got))
 	}
@@ -60,14 +57,27 @@ func TestInsertSearchSmall(t *testing.T) {
 }
 
 func TestRangeEarlyStop(t *testing.T) {
-	tr, _ := newTree(t, 256, Wide)
-	for i := 0; i < 50; i++ {
-		_ = tr.Insert(Entry{Key: float64(i), Val: uint64(i)})
-	}
-	n := 0
-	_ = tr.Range(0, 49, func(Entry) bool { n++; return n < 5 })
-	if n != 5 {
-		t.Fatalf("early stop visited %d", n)
+	for _, codec := range []Codec{Wide, Compact} {
+		tr, _ := newTree(t, 256, codec)
+		for i := 0; i < 50; i++ {
+			_ = tr.Insert(Entry{Key: float64(i), Val: uint64(i)})
+		}
+		n := 0
+		_ = tr.Range(0, 49, func(Entry) bool { n++; return n < 5 })
+		if n != 5 {
+			t.Fatalf("codec=%v: early stop visited %d", codec, n)
+		}
+		// Stops at every position, including on leaf boundaries, match
+		// the reference.
+		for limit := 1; limit <= 50; limit++ {
+			want, err := refCollect(tr, 0, 49, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := collectLimit(t, tr, 0, 49, limit); !sameEntries(got, want) || len(got) != limit {
+				t.Fatalf("codec=%v: stop after %d returned %d entries, reference %d", codec, limit, len(got), len(want))
+			}
+		}
 	}
 }
 
@@ -83,7 +93,10 @@ func TestDuplicateKeys(t *testing.T) {
 		_ = tr.Insert(Entry{Key: float64(i), Val: 1000 + uint64(i)})
 	}
 	seen := map[uint64]bool{}
-	_ = tr.Range(7, 7, func(e Entry) bool { seen[e.Val] = true; return true })
+	for _, e := range checkRangeRef(t, tr, 7, 7) {
+		seen[e.Val] = true
+	}
+	checkRangeRef(t, tr, 6.5, 7.5)
 	if len(seen) != 201 { // 200 dups + the i=7 single
 		t.Fatalf("found %d entries with key 7, want 201", len(seen))
 	}
@@ -96,8 +109,7 @@ func TestDuplicateKeys(t *testing.T) {
 			t.Fatalf("after deleting dup %d: %v", i, err)
 		}
 	}
-	count := 0
-	_ = tr.Range(7, 7, func(Entry) bool { count++; return true })
+	count := len(checkRangeRef(t, tr, 7, 7))
 	if count != 1 {
 		t.Fatalf("after deleting dups, %d entries with key 7 remain", count)
 	}
@@ -184,6 +196,7 @@ func TestRandomOpsAgainstReference(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("range [%v,%v]: got %d, want %d", lo, hi, len(got), len(want))
 			}
+			checkRangeRef(t, tr, lo, hi)
 			for v := range want {
 				if !got[v] {
 					t.Fatalf("range missing val %d", v)
@@ -218,24 +231,23 @@ func TestDrainToEmpty(t *testing.T) {
 	}
 	// The tree must still work.
 	_ = tr.Insert(Entry{Key: 5, Val: 5})
-	n := 0
-	_ = tr.Range(0, 10, func(Entry) bool { n++; return true })
-	if n != 1 {
+	if n := len(checkRangeRef(t, tr, 0, 10)); n != 1 {
 		t.Fatal("tree unusable after drain")
 	}
 }
 
+// The minimum is Ceil(-Inf).
 func TestMin(t *testing.T) {
 	tr, _ := newTree(t, 256, Wide)
-	if _, ok, _ := tr.Min(); ok {
-		t.Fatal("Min on empty tree returned ok")
+	if _, ok, _ := tr.Ceil(math.Inf(-1)); ok {
+		t.Fatal("Ceil(-Inf) on empty tree returned ok")
 	}
 	for _, k := range []float64{5, 3, 9, 1, 7} {
 		_ = tr.Insert(Entry{Key: k, Val: uint64(k)})
 	}
-	e, ok, err := tr.Min()
+	e, ok, err := tr.Ceil(math.Inf(-1))
 	if err != nil || !ok || e.Key != 1 {
-		t.Fatalf("Min = %+v ok=%v err=%v", e, ok, err)
+		t.Fatalf("Ceil(-Inf) = %+v ok=%v err=%v", e, ok, err)
 	}
 }
 
@@ -328,8 +340,10 @@ func TestClusteredKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	sort.Float64s(keys)
-	count := 0
-	_ = tr.Range(math.Inf(-1), math.Inf(1), func(Entry) bool { count++; return true })
+	count := len(checkRangeRef(t, tr, math.Inf(-1), math.Inf(1)))
+	for _, base := range []float64{0, 1000, 4000} {
+		checkRangeRef(t, tr, base, base+0.0005)
+	}
 	if count != len(keys) {
 		t.Fatalf("full scan found %d, want %d", count, len(keys))
 	}

@@ -149,7 +149,7 @@ func TestBulkLoadFillFactorSweep(t *testing.T) {
 	}
 }
 
-// Get must agree with the decoding Range path on hits and misses, for
+// Get must find every present entry and miss absent composites, for
 // both codecs, on bulk-loaded and incrementally built trees.
 func TestGetDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -190,39 +190,48 @@ func TestGetDifferential(t *testing.T) {
 	}
 }
 
-// RangeAppend must return exactly what Range yields, and reuse the
+// Range and RangeAppend must return exactly the decoding reference's
+// answer — in full and stopped early — for both codecs, over random and
+// heavily duplicated keys and ±Inf bounds, and RangeAppend must reuse the
 // caller's buffer.
 func TestRangeAppendMatchesRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, codec := range []Codec{Wide, Compact} {
 		tr, _ := New(pager.NewMemStore(4096), Config{Codec: codec})
 		for i := 0; i < 4000; i++ {
-			if err := tr.Insert(Entry{Key: rng.Float64() * 100, Val: uint64(i), Aux: rng.Float64()}); err != nil {
+			key := rng.Float64() * 100
+			if i%3 == 0 {
+				key = float64(rng.Intn(8)) * 12.5 // runs of equal keys across leaves
+			}
+			if err := tr.Insert(Entry{Key: key, Val: uint64(i), Aux: rng.Float64()}); err != nil {
 				t.Fatal(err)
 			}
+		}
+		inf := math.Inf(1)
+		for _, r := range [][2]float64{{-inf, inf}, {-inf, 30}, {70, inf}, {25, 25}, {50, 50}, {inf, inf}, {-inf, -inf}, {60, 40}} {
+			checkRangeRef(t, tr, r[0], r[1])
 		}
 		buf := make([]Entry, 0, 4096)
 		for i := 0; i < 100; i++ {
 			lo := rng.Float64() * 100
 			hi := lo + rng.Float64()*20
-			var want []Entry
-			if err := tr.Range(lo, hi, func(e Entry) bool { want = append(want, e); return true }); err != nil {
-				t.Fatal(err)
-			}
+			want := checkRangeRef(t, tr, lo, hi)
 			got, err := tr.RangeAppend(buf[:0], lo, hi)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameEntries(want, got) {
-				t.Fatalf("codec=%v [%v,%v]: RangeAppend %d entries, Range %d", codec, lo, hi, len(got), len(want))
+				t.Fatalf("codec=%v [%v,%v]: RangeAppend %d entries, reference %d", codec, lo, hi, len(got), len(want))
 			}
-			buf = got
+			if len(got) > 0 && &got[0] != &buf[:1][0] {
+				t.Fatalf("codec=%v: RangeAppend did not reuse the caller's buffer", codec)
+			}
 		}
 	}
 }
 
 // Ceil and Pred must agree with the decoding reference paths (a
-// first-hit Range for the successor, Floor for the predecessor) on
+// first-hit refRange for the successor, refFloor for the predecessor) on
 // random probes, including probes below the minimum, above the maximum,
 // and after a deletion wave that empties leaf tails — the cases that
 // exercise Ceil's next-leaf hop and Pred's fallback descent.
@@ -243,7 +252,7 @@ func TestCeilPredDifferential(t *testing.T) {
 				key := rng.Float64()*320 - 110 // well past both ends
 				var wantC Entry
 				wantCok := false
-				if err := tr.Range(key, math.Inf(1), func(e Entry) bool {
+				if err := refRange(tr, key, math.Inf(1), func(e Entry) bool {
 					wantC, wantCok = e, true
 					return false
 				}); err != nil {
@@ -257,7 +266,7 @@ func TestCeilPredDifferential(t *testing.T) {
 					t.Fatalf("codec=%v %s: Ceil(%v) = %+v,%v; reference %+v,%v",
 						codec, stage, key, gotC, okC, wantC, wantCok)
 				}
-				wantP, wantPok, err := tr.Floor(key)
+				wantP, wantPok, err := refFloor(tr, key)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -266,7 +275,7 @@ func TestCeilPredDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				if okP != wantPok || gotP != wantP {
-					t.Fatalf("codec=%v %s: Pred(%v) = %+v,%v; Floor %+v,%v",
+					t.Fatalf("codec=%v %s: Pred(%v) = %+v,%v; reference %+v,%v",
 						codec, stage, key, gotP, okP, wantP, wantPok)
 				}
 			}

@@ -1,15 +1,21 @@
-// Zero-allocation read path. Point lookups and range scans descend the
-// tree over raw page images obtained through pager.ViewBytes — binary
-// searching the encoded separators and entries in place instead of
-// decoding every node into a fresh *node — so a steady-state query whose
-// pages sit in the buffer pool performs no heap allocation at all. The
-// AllocsPerRun gates in alloc_test.go hold this path to exactly zero
-// allocs per op; the decoding Range/Floor path in bptree.go remains the
-// reference implementation it is differential-tested against.
+// The read path. Every query — Range (and RangeAppend over it), Get,
+// Ceil and Pred — descends the tree over raw page images and binary
+// searches the encoded separators and entries in place; only the entries
+// it visits are decoded, into Entry values, and no *node is built. Pages
+// come from pager.ReadImage: a pool-resident page is the buffer pool's own
+// immutable frame (no copy), and a page read through a store without a
+// zero-copy path (FileStore, the WAL) is a pooled image that the walker
+// Releases as soon as it has taken what it needs from it, so a scan
+// allocates no page-sized buffer per page. The AllocsPerRun gates in
+// alloc_test.go hold the pool-resident path to zero allocs per op. The
+// decoding readNode/decode path serves only the mutations (insert,
+// delete, rebalance) and CheckInvariants; the tests keep a decoding
+// reference walker built on it to check this one against.
 package bptree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -114,20 +120,46 @@ func (t *Tree) imageLowerBound(d []byte, count int, k float64, v uint64) int {
 	return lo
 }
 
+// nodeImage returns page id's raw image, checked to be a node of the
+// wanted kind, and its entry count. pg is the page to Release once d is
+// no longer used (nil for a zero-copy view; Release is nil-safe). A
+// pointer to a page the store does not have is a corrupt pointer, so that
+// error wraps pager.ErrPageCorrupt as well as the store's own.
+func (t *Tree) nodeImage(id pager.PageID, leaf bool) (d []byte, count int, pg *pager.Page, err error) {
+	d, pg, err = pager.ReadImage(t.store, id)
+	if err != nil {
+		if errors.Is(err, pager.ErrPageNotFound) || errors.Is(err, pager.ErrReservedPage) {
+			err = fmt.Errorf("bptree: page %d: dangling pointer: %w: %w", id, pager.ErrPageCorrupt, err)
+		}
+		return nil, 0, nil, err
+	}
+	if count, err = t.checkImage(d, id, leaf); err != nil {
+		pg.Release()
+		return nil, 0, nil, err
+	}
+	return d, count, pg, nil
+}
+
+// nextLeaf reads the next-leaf pointer out of a leaf page image.
+func nextLeaf(d []byte) pager.PageID { return pager.PageID(binary.LittleEndian.Uint32(d[4:8])) }
+
+// entryAt decodes leaf entry i of a page image.
+func (t *Tree) entryAt(d []byte, i int) Entry {
+	es := t.codec.leafEntrySize()
+	return t.decodeEntry(d[headerSize+i*es : headerSize+(i+1)*es])
+}
+
 // descendToLeaf walks internal levels toward the leaf that would hold
 // composite (k, v), over raw page images.
 func (t *Tree) descendToLeaf(k float64, v uint64) (pager.PageID, error) {
 	id := t.root
 	for h := t.height; h > 1; h-- {
-		d, err := pager.ViewBytes(t.store, id)
-		if err != nil {
-			return pager.NilPage, err
-		}
-		count, err := t.checkImage(d, id, false)
+		d, count, pg, err := t.nodeImage(id, false)
 		if err != nil {
 			return pager.NilPage, err
 		}
 		kid := t.childAt(d, t.imageChildIndex(d, count, k, v))
+		pg.Release()
 		if kid == pager.NilPage {
 			return pager.NilPage, fmt.Errorf("bptree: page %d: nil child pointer: %w", id, pager.ErrPageCorrupt)
 		}
@@ -146,24 +178,21 @@ func (t *Tree) Get(key float64, val uint64) (Entry, bool, error) {
 	if err != nil {
 		return Entry{}, false, err
 	}
-	d, err := pager.ViewBytes(t.store, id)
+	d, count, pg, err := t.nodeImage(id, true)
 	if err != nil {
 		return Entry{}, false, err
 	}
-	count, err := t.checkImage(d, id, true)
-	if err != nil {
-		return Entry{}, false, err
+	var (
+		e  Entry
+		ok bool
+	)
+	if i := t.imageLowerBound(d, count, key, val); i < count {
+		if ek, ev := t.leafKV(d, i); ek == key && ev == val {
+			e, ok = t.entryAt(d, i), true
+		}
 	}
-	i := t.imageLowerBound(d, count, key, val)
-	if i >= count {
-		return Entry{}, false, nil
-	}
-	ek, ev := t.leafKV(d, i)
-	if ek != key || ev != val {
-		return Entry{}, false, nil
-	}
-	es := t.codec.leafEntrySize()
-	return t.decodeEntry(d[headerSize+i*es : headerSize+(i+1)*es]), true, nil
+	pg.Release()
+	return e, ok, nil
 }
 
 // Ceil returns the smallest entry whose key is >= key, or ok=false when
@@ -172,27 +201,15 @@ func (t *Tree) Get(key float64, val uint64) (Entry, bool, error) {
 // successor probe kinetic certificate scheduling leans on, zero-alloc
 // when the path is pool-resident.
 func (t *Tree) Ceil(key float64) (Entry, bool, error) {
-	key = t.codec.roundKey(key)
-	id, err := t.descendToLeaf(key, 0)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	for id != pager.NilPage {
-		d, err := pager.ViewBytes(t.store, id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		count, err := t.checkImage(d, id, true)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		if i := t.imageLowerBound(d, count, key, 0); i < count {
-			es := t.codec.leafEntrySize()
-			return t.decodeEntry(d[headerSize+i*es : headerSize+(i+1)*es]), true, nil
-		}
-		id = pager.PageID(binary.LittleEndian.Uint32(d[4:8]))
-	}
-	return Entry{}, false, nil
+	var (
+		e  Entry
+		ok bool
+	)
+	err := t.Range(key, math.Inf(1), func(first Entry) bool {
+		e, ok = first, true
+		return false
+	})
+	return e, ok, err
 }
 
 // imageUpperBoundKey is the first leaf index whose key exceeds k.
@@ -210,8 +227,8 @@ func (t *Tree) imageUpperBoundKey(d []byte, count int, k float64) int {
 }
 
 // Pred returns the entry with the largest (key, val) whose key is <= key,
-// or ok=false when every key exceeds it — Floor over raw page images, the
-// predecessor probe twin of Ceil. Leaves carry no back-pointers, so the
+// or ok=false when every key exceeds it: the predecessor probe twin of
+// Ceil, over raw page images. Leaves carry no back-pointers, so the
 // descent remembers the deepest left sibling subtree and walks its right
 // spine when the target leaf holds nothing at or below the key.
 func (t *Tree) Pred(key float64) (Entry, bool, error) {
@@ -220,11 +237,7 @@ func (t *Tree) Pred(key float64) (Entry, bool, error) {
 	fallback := pager.NilPage
 	fallbackH := 0
 	for h := t.height; h > 1; h-- {
-		d, err := pager.ViewBytes(t.store, id)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		count, err := t.checkImage(d, id, false)
+		d, count, pg, err := t.nodeImage(id, false)
 		if err != nil {
 			return Entry{}, false, err
 		}
@@ -233,86 +246,122 @@ func (t *Tree) Pred(key float64) (Entry, bool, error) {
 			fallback = t.childAt(d, ci-1)
 			fallbackH = h - 1
 		}
-		id = t.childAt(d, ci)
-		if id == pager.NilPage {
+		kid := t.childAt(d, ci)
+		pg.Release()
+		if kid == pager.NilPage {
 			return Entry{}, false, fmt.Errorf("bptree: page %d: nil child pointer: %w", id, pager.ErrPageCorrupt)
 		}
+		id = kid
 	}
-	d, err := pager.ViewBytes(t.store, id)
-	if err != nil {
-		return Entry{}, false, err
-	}
-	count, err := t.checkImage(d, id, true)
+	d, count, pg, err := t.nodeImage(id, true)
 	if err != nil {
 		return Entry{}, false, err
 	}
 	if i := t.imageUpperBoundKey(d, count, key); i > 0 {
-		es := t.codec.leafEntrySize()
-		return t.decodeEntry(d[headerSize+(i-1)*es : headerSize+i*es]), true, nil
+		e := t.entryAt(d, i-1)
+		pg.Release()
+		return e, true, nil
 	}
+	pg.Release()
 	if fallback == pager.NilPage {
 		return Entry{}, false, nil
 	}
 	id = fallback
 	for h := fallbackH; h > 1; h-- {
-		d, err := pager.ViewBytes(t.store, id)
+		d, count, pg, err := t.nodeImage(id, false)
 		if err != nil {
 			return Entry{}, false, err
 		}
-		count, err := t.checkImage(d, id, false)
-		if err != nil {
-			return Entry{}, false, err
-		}
-		id = t.childAt(d, count)
-		if id == pager.NilPage {
+		kid := t.childAt(d, count)
+		pg.Release()
+		if kid == pager.NilPage {
 			return Entry{}, false, fmt.Errorf("bptree: page %d: nil child pointer: %w", id, pager.ErrPageCorrupt)
 		}
+		id = kid
 	}
-	d, err = pager.ViewBytes(t.store, id)
+	d, count, pg, err = t.nodeImage(id, true)
 	if err != nil {
 		return Entry{}, false, err
 	}
-	count, err = t.checkImage(d, id, true)
-	if err != nil {
-		return Entry{}, false, err
+	var (
+		e  Entry
+		ok bool
+	)
+	if count > 0 {
+		e, ok = t.entryAt(d, count-1), true
 	}
-	if count == 0 {
-		return Entry{}, false, nil
-	}
-	es := t.codec.leafEntrySize()
-	return t.decodeEntry(d[headerSize+(count-1)*es : headerSize+count*es]), true, nil
+	pg.Release()
+	return e, ok, nil
 }
 
-// RangeAppend appends every entry with lo <= key <= hi to dst, in (key,
-// val) order, and returns the extended slice. It is Range with a
-// caller-owned result buffer: when dst has capacity for the answer and
-// the scanned path is pool-resident, the call performs zero heap
-// allocations. Keys are compared after codec rounding.
-func (t *Tree) RangeAppend(dst []Entry, lo, hi float64) ([]Entry, error) {
+// Range calls fn for every entry with lo <= key <= hi, in (key, val)
+// order, until fn returns false. Keys are compared after codec rounding.
+// It is the one leaf walker: a descent to the leaf holding lo, then the
+// leaf chain, each leaf binary searched for lo and scanned in place. Each
+// pooled page is Released as soon as its next-leaf pointer is taken and
+// its entries are visited, so fn never sees page bytes — only Entry
+// values — and may keep them.
+func (t *Tree) Range(lo, hi float64, fn func(Entry) bool) error {
 	lo = t.codec.roundKey(lo)
 	hi = t.codec.roundKey(hi)
 	id, err := t.descendToLeaf(lo, 0)
 	if err != nil {
-		return dst, err
+		return err
 	}
-	for id != pager.NilPage {
-		d, err := pager.ViewBytes(t.store, id)
+	var lastK float64
+	var lastV uint64
+	for hop := 0; id != pager.NilPage; hop++ {
+		d, count, pg, err := t.nodeImage(id, true)
 		if err != nil {
-			return dst, err
+			return err
 		}
-		count, err := t.checkImage(d, id, true)
-		if err != nil {
-			return dst, err
+		if hop > 0 && !t.continuesChain(d, count, lo, lastK, lastV) {
+			pg.Release()
+			return fmt.Errorf("bptree: page %d: leaf chain out of order: %w", id, pager.ErrPageCorrupt)
 		}
-		es := t.codec.leafEntrySize()
+		cur := id
+		id = nextLeaf(d)
 		for i := t.imageLowerBound(d, count, lo, 0); i < count; i++ {
-			e := t.decodeEntry(d[headerSize+i*es : headerSize+(i+1)*es])
-			if e.Key > hi {
-				return dst, nil
+			if e := t.entryAt(d, i); e.Key > hi || !fn(e) {
+				pg.Release()
+				return nil
 			}
-			dst = append(dst, e)
 		}
-		id = pager.PageID(binary.LittleEndian.Uint32(d[4:8]))
+		if count > 0 {
+			lastK, lastV = t.leafKV(d, count-1)
+		}
+		pg.Release()
+		if id == cur {
+			return fmt.Errorf("bptree: page %d: leaf links to itself: %w", cur, pager.ErrPageCorrupt)
+		}
 	}
-	return dst, nil
+	return nil
+}
+
+// continuesChain reports whether a leaf image (count entries) may follow,
+// on a scan from lo, a leaf whose last entry is (k, v). In a valid tree
+// only the root leaf is ever empty, and every leaf after the one the scan
+// descended to starts at or above lo and at or above its predecessor's
+// last entry. The check costs one entry decode per leaf hop and keeps a
+// corrupted next-leaf pointer from cycling the scan forever. It rejects
+// only an order it can see is wrong, so NaN bounds or keys — unordered —
+// never fail it.
+func (t *Tree) continuesChain(d []byte, count int, lo, k float64, v uint64) bool {
+	if count == 0 {
+		return false
+	}
+	fk, fv := t.leafKV(d, 0)
+	return !(fk < lo) && !(fk < k || (fk == k && fv < v))
+}
+
+// RangeAppend appends every entry with lo <= key <= hi to dst, in (key,
+// val) order, and returns the extended slice: Range with a caller-owned
+// result buffer. When dst has capacity for the answer and the scanned
+// path is pool-resident, the call performs zero heap allocations.
+func (t *Tree) RangeAppend(dst []Entry, lo, hi float64) ([]Entry, error) {
+	err := t.Range(lo, hi, func(e Entry) bool {
+		dst = append(dst, e)
+		return true
+	})
+	return dst, err
 }

@@ -1,7 +1,9 @@
 package bptree
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -146,5 +148,145 @@ func TestTreeSurvivesCorruptRoot(t *testing.T) {
 	}
 	if err := tr.Delete(5, 5); !errors.Is(err, pager.ErrPageCorrupt) {
 		t.Fatalf("delete on corrupt root: %v", err)
+	}
+}
+
+// FuzzRangeImage builds a random tree — either codec, runs of duplicate
+// keys, some deletions — and checks the image walker against the
+// decoding reference on a fuzzed range: Range in full and stopped early,
+// and RangeAppend. With a nonzero xor it then flips bits of one byte of
+// one page, leaf or internal, and requires Range, Get, Ceil and Pred to
+// return an answer or an error wrapping pager.ErrPageCorrupt — never a
+// panic, and never a scan that runs on forever. Run with:
+//
+//	go test -fuzz=FuzzRangeImage ./internal/bptree
+func FuzzRangeImage(f *testing.F) {
+	inf := math.Inf(1)
+	f.Add(int64(1), uint16(300), 2.0, 9.0, false, uint16(0), uint16(0), byte(0))
+	f.Add(int64(2), uint16(700), -inf, inf, true, uint16(0), uint16(0), byte(0))
+	f.Add(int64(3), uint16(500), 4.0, 4.0, false, uint16(0), uint16(0), byte(0))
+	f.Add(int64(4), uint16(0), -inf, inf, false, uint16(0), uint16(5), byte(1))
+	f.Add(int64(5), uint16(900), 0.0, 16.0, true, uint16(3), uint16(4), byte(0x40))
+	f.Add(int64(6), uint16(900), 1.0, 12.0, false, uint16(1), uint16(2), byte(0xff))
+	f.Add(int64(7), uint16(600), -inf, 8.0, true, uint16(7), uint16(20), byte(0x08))
+	f.Add(int64(8), uint16(800), math.NaN(), math.NaN(), false, uint16(0), uint16(0), byte(0))
+	f.Add(int64(9), uint16(800), math.NaN(), 10.0, true, uint16(0), uint16(0), byte(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, lo, hi float64, compact bool, page, off uint16, xor byte) {
+		codec := Wide
+		if compact {
+			codec = Compact
+		}
+		store := pager.NewMemStore(fuzzPageSize)
+		tr, err := New(store, Config{Codec: codec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		size := int(n % 1200)
+		for i := 0; i < size; i++ {
+			key := float64(rng.Intn(64)) / 4
+			if rng.Intn(2) == 0 {
+				key = rng.Float64() * 16
+			}
+			if err := tr.Insert(Entry{Key: key, Val: uint64(i), Aux: rng.Float64()}); err != nil {
+				t.Fatal(err)
+			}
+			if rng.Intn(5) == 0 {
+				if err := tr.Delete(key, uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if xor == 0 {
+			checkRangeRef(t, tr, lo, hi)
+			return
+		}
+		id := pager.PageID(1 + int(page)%store.PagesInUse())
+		p, err := store.Read(id)
+		if err != nil {
+			return // a page freed by a merge
+		}
+		p.Data[int(off)%len(p.Data)] ^= xor
+		if err := store.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		corrupt := func(op string, err error) {
+			if err != nil && !errors.Is(err, pager.ErrPageCorrupt) {
+				t.Fatalf("%s on a mutated page: error outside the corruption taxonomy: %v", op, err)
+			}
+		}
+		visits := 0
+		corrupt("Range", tr.Range(lo, hi, func(Entry) bool {
+			visits++
+			return visits < 1<<16
+		}))
+		_, err = tr.RangeAppend(nil, lo, hi)
+		corrupt("RangeAppend", err)
+		_, _, err = tr.Get(lo, uint64(seed))
+		corrupt("Get", err)
+		_, _, err = tr.Ceil(lo)
+		corrupt("Ceil", err)
+		_, _, err = tr.Pred(hi)
+		corrupt("Pred", err)
+	})
+}
+
+// TestRangeRejectsCyclicLeafChain points a leaf's next-leaf pointer back
+// at an earlier leaf, and at the leaf itself: Range must report
+// ErrPageCorrupt after at most one pass over the entries instead of
+// scanning the cycle forever.
+func TestRangeRejectsCyclicLeafChain(t *testing.T) {
+	for _, self := range []bool{false, true} {
+		store := pager.NewMemStore(fuzzPageSize)
+		tr, err := New(store, Config{Codec: Wide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 200
+		for i := 0; i < n; i++ {
+			if err := tr.Insert(Entry{Key: float64(i), Val: uint64(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		id := tr.root
+		for h := tr.height; h > 1; h-- {
+			nd, err := tr.readNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = nd.kids[0]
+		}
+		var leaves []pager.PageID
+		for id != pager.NilPage {
+			leaves = append(leaves, id)
+			nd, err := tr.readNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id = nd.next
+		}
+		if len(leaves) < 4 {
+			t.Fatalf("want a multi-leaf chain, got %d leaves", len(leaves))
+		}
+		from, to := leaves[2], leaves[0]
+		if self {
+			to = from
+		}
+		p, err := store.Read(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(p.Data[4:8], uint32(to))
+		if err := store.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		visits := 0
+		err = tr.Range(math.Inf(-1), math.Inf(1), func(Entry) bool {
+			visits++
+			return visits < 10*n
+		})
+		if !errors.Is(err, pager.ErrPageCorrupt) || visits > n {
+			t.Fatalf("self=%v: Range over a cyclic chain: err %v after %d visits", self, err, visits)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestQuickFullScanIsSortedBatch(t *testing.T) {
 	}
 }
 
-// Property: Floor(k) returns the maximum key <= k, or nothing when all
+// Property: Pred(k) returns the maximum key <= k, or nothing when all
 // keys exceed k.
 func TestQuickFloor(t *testing.T) {
 	f := func(keys []float64, probes []float64) bool {
@@ -79,7 +79,7 @@ func TestQuickFloor(t *testing.T) {
 				continue
 			}
 			p = math.Mod(p, 1e6)
-			e, ok, err := tr.Floor(p)
+			e, ok, err := tr.Pred(p)
 			if err != nil {
 				return false
 			}
@@ -110,8 +110,8 @@ func TestQuickFloor(t *testing.T) {
 
 func TestFloorBasics(t *testing.T) {
 	tr, _ := New(pager.NewMemStore(256), Config{Codec: Wide})
-	if _, ok, _ := tr.Floor(5); ok {
-		t.Fatal("Floor on empty tree returned ok")
+	if _, ok, _ := tr.Pred(5); ok {
+		t.Fatal("Pred on empty tree returned ok")
 	}
 	for _, k := range []float64{10, 20, 30} {
 		_ = tr.Insert(Entry{Key: k, Val: uint64(k)})
@@ -128,31 +128,31 @@ func TestFloorBasics(t *testing.T) {
 		{99, 30, true},
 	}
 	for _, c := range cases {
-		e, ok, err := tr.Floor(c.probe)
+		e, ok, err := tr.Pred(c.probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ok != c.ok || (ok && e.Key != c.want) {
-			t.Fatalf("Floor(%v) = (%v, %v), want (%v, %v)", c.probe, e.Key, ok, c.want, c.ok)
+			t.Fatalf("Pred(%v) = (%v, %v), want (%v, %v)", c.probe, e.Key, ok, c.want, c.ok)
 		}
 	}
-	// Max is Floor(+inf).
-	e, ok, err := tr.Max()
+	// The maximum is Pred(+Inf).
+	e, ok, err := tr.Pred(math.Inf(1))
 	if err != nil || !ok || e.Key != 30 {
-		t.Fatalf("Max = %v %v %v", e, ok, err)
+		t.Fatalf("Pred(+Inf) = %v %v %v", e, ok, err)
 	}
-	// Floor across many leaves.
+	// Pred across many leaves.
 	big, _ := New(pager.NewMemStore(256), Config{Codec: Wide})
 	for i := 0; i < 5000; i++ {
 		_ = big.Insert(Entry{Key: float64(i * 2), Val: uint64(i)})
 	}
-	e, ok, _ = big.Floor(4001)
+	e, ok, _ = big.Pred(4001)
 	if !ok || e.Key != 4000 {
-		t.Fatalf("Floor(4001) = %v %v", e.Key, ok)
+		t.Fatalf("Pred(4001) = %v %v", e.Key, ok)
 	}
-	e, ok, _ = big.Floor(4000)
+	e, ok, _ = big.Pred(4000)
 	if !ok || e.Key != 4000 {
-		t.Fatalf("Floor(4000) = %v %v", e.Key, ok)
+		t.Fatalf("Pred(4000) = %v %v", e.Key, ok)
 	}
 }
 

@@ -203,12 +203,26 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 		}
 	}
 
+	// The last query worker to finish records the instant and closes
+	// queriesDone: the writer applies every pair due by then and stops.
+	var (
+		running     atomic.Int64
+		queriesDone = make(chan struct{})
+		doneAt      time.Time
+	)
+	running.Store(int64(cfg.Workers))
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if running.Add(-1) == 0 {
+					doneAt = time.Now()
+					close(queriesDone)
+				}
+			}()
 			lat := make([]time.Duration, 0, cfg.Queries/cfg.Workers+1)
 			for {
 				ticket := next.Add(1) - 1
@@ -247,22 +261,27 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputResult, error) {
 				_ = ix.Query(q, func(dual.OID) {})
 			}
 			interval := time.Duration(float64(time.Second) / cfg.UpdatesPerSec)
+			// due waits for a pair's arrival time or for the query
+			// workers to finish, whichever comes first. Once they have
+			// finished, only a pair due by the instant they finished is
+			// still applied — however late the writer got scheduled.
+			due := func(at time.Time) bool {
+				timer := time.NewTimer(time.Until(at))
+				defer timer.Stop()
+				select {
+				case <-timer.C:
+				case <-queriesDone:
+				}
+				select {
+				case <-queriesDone:
+					return !at.After(doneAt)
+				default:
+					return true
+				}
+			}
 			for i := 0; i+1 < len(updates); i += 2 {
-				// Sleep until this pair's arrival time, bailing out as
-				// soon as the query workers finish.
-				due := start.Add(time.Duration(i/2) * interval)
-				for {
-					if next.Load() >= int64(cfg.Queries) {
-						return
-					}
-					d := time.Until(due)
-					if d <= 0 {
-						break
-					}
-					if d > 5*time.Millisecond {
-						d = 5 * time.Millisecond
-					}
-					time.Sleep(d)
+				if !due(start.Add(time.Duration(i/2) * interval)) {
+					return
 				}
 				mu.RLock()
 				warm(updates[i].Motion)

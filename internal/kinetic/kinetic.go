@@ -325,7 +325,7 @@ func (s *Structure) Query(yl, yh, tq float64, emit func(dual.OID)) error {
 	if s.n == 0 {
 		return nil
 	}
-	e, ok, err := s.versions.Floor(tq)
+	e, ok, err := s.versions.Pred(tq)
 	if err != nil {
 		return err
 	}
@@ -431,7 +431,7 @@ func (s *Structure) QueryKNearest(y float64, tq float64, k int) ([]Neighbor, err
 
 // queryWithValues is Query but also reports each hit's position at tq.
 func (s *Structure) queryWithValues(yl, yh, tq float64, emit func(dual.OID, float64)) error {
-	e, ok, err := s.versions.Floor(tq)
+	e, ok, err := s.versions.Pred(tq)
 	if err != nil {
 		return err
 	}
@@ -483,7 +483,7 @@ func (s *Structure) Validate(samples int) error {
 	}
 	for k := 0; k <= samples; k++ {
 		tq := s.tStart + float64(k)/float64(samples)*(s.tEnd-s.tStart)
-		e, ok, err := s.versions.Floor(tq)
+		e, ok, err := s.versions.Pred(tq)
 		if err != nil {
 			return err
 		}

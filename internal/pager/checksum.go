@@ -78,17 +78,24 @@ func (c *ChecksumStore) Read(id PageID) (*Page, error) {
 		return nil, err
 	}
 	if len(p.Data) != c.size+ChecksumTrailerSize {
-		return nil, fmt.Errorf("%w: page %d has size %d", ErrPageCorrupt, id, len(p.Data))
+		n := len(p.Data)
+		p.Release()
+		return nil, fmt.Errorf("%w: page %d has size %d", ErrPageCorrupt, id, n)
 	}
 	payload, trailer := p.Data[:c.size], p.Data[c.size:]
 	stored := uint32(trailer[0]) | uint32(trailer[1])<<8 | uint32(trailer[2])<<16 | uint32(trailer[3])<<24
-	if stored == 0 && allZero(payload) {
-		return &Page{ID: id, Data: payload}, nil // never written; valid zero page
+	// A never-written page (zero payload, zero trailer) is a valid zero
+	// page; anything else must match its checksum.
+	if stored != 0 || !allZero(payload) {
+		if got := crc32.Checksum(payload, castagnoli); got != stored {
+			p.Release()
+			return nil, fmt.Errorf("%w: page %d checksum %08x, want %08x", ErrPageCorrupt, id, got, stored)
+		}
 	}
-	if got := crc32.Checksum(payload, castagnoli); got != stored {
-		return nil, fmt.Errorf("%w: page %d checksum %08x, want %08x", ErrPageCorrupt, id, got, stored)
-	}
-	return &Page{ID: id, Data: payload}, nil
+	// The page is the underlying store's fresh result, so trimming the
+	// trailer in place keeps its pool handle for the caller's Release.
+	p.Data = payload
+	return p, nil
 }
 
 // Write implements Store, stamping the trailer.

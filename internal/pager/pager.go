@@ -35,6 +35,7 @@ const NilPage PageID = 0
 type Page struct {
 	ID   PageID
 	Data []byte
+	buf  *PageBuf // pool handle when Data is a pooled image (see Release)
 }
 
 // Stats counts the I/O traffic of a Store.
@@ -655,11 +656,12 @@ func (fs *FileStore) Allocate() (*Page, error) {
 	return &Page{ID: id, Data: make([]byte, fs.pageSize)}, nil
 }
 
-// Read implements Store. Only a read past EOF of an allocated-but-never-
-// written page yields zeroes (the file simply hasn't grown that far); any
-// real I/O error propagates wrapped. Concurrent reads share the
-// read-latch; a write to the same page is excluded for its duration, so
-// readers never observe a torn page.
+// Read implements Store, into a pooled image the caller may Release. Only
+// a read past EOF of an allocated-but-never-written page yields zeroes
+// (the file simply hasn't grown that far); any real I/O error propagates
+// wrapped. Concurrent reads share the read-latch; a write to the same
+// page is excluded for its duration, so readers never observe a torn
+// page.
 func (fs *FileStore) Read(id PageID) (*Page, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -669,21 +671,20 @@ func (fs *FileStore) Read(id PageID) (*Page, error) {
 	if _, ok := fs.live[id]; !ok {
 		return nil, fmt.Errorf("%w: %d", ErrPageNotFound, id)
 	}
-	data := make([]byte, fs.pageSize)
-	n, err := fs.f.ReadAt(data, fs.offset(id))
+	p := pooledPage(id, fs.pageSize)
+	n, err := fs.f.ReadAt(p.Data, fs.offset(id))
 	switch {
 	case err == nil:
 	case errors.Is(err, io.EOF):
 		// Allocated beyond the written tail of the file: the unread
 		// remainder is zeroes by definition.
-		for i := n; i < len(data); i++ {
-			data[i] = 0
-		}
+		clear(p.Data[n:])
 	default:
+		p.Release()
 		return nil, fmt.Errorf("pager: read page %d: %w", id, err)
 	}
 	fs.stats.reads.Add(1)
-	return &Page{ID: id, Data: data}, nil
+	return p, nil
 }
 
 // Write implements Store.

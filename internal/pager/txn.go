@@ -87,10 +87,8 @@ func (t *Txn) Read(id PageID) (*Page, error) {
 		return nil, fmt.Errorf("%w: page %d freed in txn", ErrPageNotFound, id)
 	}
 	if img, ok := t.b.writes[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
 		w.stats.reads.Add(1)
-		return &Page{ID: id, Data: data}, nil
+		return pooledCopy(id, img), nil
 	}
 	w.mu.Lock()
 	if err := w.ok(); err != nil {
@@ -102,11 +100,10 @@ func (t *Txn) Read(id PageID) (*Page, error) {
 		return nil, fmt.Errorf("pager: read wal meta page %d: %w", id, ErrReservedPage)
 	}
 	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
+		p := pooledCopy(id, img)
 		w.stats.reads.Add(1)
 		w.mu.Unlock()
-		return &Page{ID: id, Data: data}, nil
+		return p, nil
 	}
 	w.stats.reads.Add(1)
 	w.mu.Unlock()

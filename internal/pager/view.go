@@ -20,18 +20,21 @@ type Viewer interface {
 	View(id PageID) ([]byte, error)
 }
 
-// ViewBytes reads page id through the store's zero-copy path when it has
-// one, and falls back to an ordinary (copying) Read otherwise. Either
-// way the result must be treated as read-only.
-func ViewBytes(s Store, id PageID) ([]byte, error) {
+// ReadImage returns page id's bytes for read-only use. A store with a
+// zero-copy path (Viewer) serves its own image and pg is nil; otherwise
+// the page comes from an ordinary Read and pg is that page, which the
+// caller Releases once it no longer touches img. Release is nil-safe, so
+// callers release unconditionally.
+func ReadImage(s Store, id PageID) (img []byte, pg *Page, err error) {
 	if v, ok := s.(Viewer); ok {
-		return v.View(id)
+		img, err = v.View(id)
+		return img, nil, err
 	}
-	p, err := s.Read(id)
+	pg, err = s.Read(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return p.Data, nil
+	return pg.Data, pg, nil
 }
 
 // View implements Viewer: the stored image is returned directly, under
@@ -72,32 +75,69 @@ func (b *Buffered) View(id PageID) ([]byte, error) {
 	return p.Data, nil
 }
 
-// PageBuf is a pooled page-sized scratch buffer for node encoders. The
-// index packages serialize a node into B and hand it to Store.Write —
-// every Store implementation copies the data before returning (Write
-// never retains p.Data) — then Release the buffer, so a build writes
-// thousands of pages through a handful of recycled buffers instead of
-// allocating one per write.
+// PageBuf is a pooled page-sized buffer. Node encoders serialize a node
+// into B and hand it to Store.Write — every Store implementation copies
+// the data before returning (Write never retains p.Data) — then Release
+// the buffer, so a build writes thousands of pages through a handful of
+// recycled buffers instead of allocating one per write. The read paths
+// draw their page images from the same pool (see Page.Release).
 type PageBuf struct {
 	B []byte
 }
 
 var pageBufPool = sync.Pool{New: func() any { return new(PageBuf) }}
 
-// GetPageBuf returns a zeroed scratch buffer of the given size from the
-// pool. Release it when the Write it fed has returned.
-func GetPageBuf(size int) *PageBuf {
+// getPageBuf returns a pooled buffer of the given size with unspecified
+// contents.
+func getPageBuf(size int) *PageBuf {
 	pb := pageBufPool.Get().(*PageBuf)
 	if cap(pb.B) < size {
 		pb.B = make([]byte, size)
-		return pb
 	}
 	pb.B = pb.B[:size]
-	for i := range pb.B {
-		pb.B[i] = 0
-	}
+	return pb
+}
+
+// GetPageBuf returns a zeroed scratch buffer of the given size from the
+// pool. Release it when the Write it fed has returned.
+func GetPageBuf(size int) *PageBuf {
+	pb := getPageBuf(size)
+	clear(pb.B)
 	return pb
 }
 
 // Release returns the buffer to the pool.
 func (pb *PageBuf) Release() { pageBufPool.Put(pb) }
+
+// pooledPage returns page id with a pooled image of size bytes and
+// unspecified contents; the caller fills every byte before handing it
+// out.
+func pooledPage(id PageID, size int) *Page {
+	pb := getPageBuf(size)
+	return &Page{ID: id, Data: pb.B, buf: pb}
+}
+
+// pooledCopy returns page id holding a pooled copy of img.
+func pooledCopy(id PageID, img []byte) *Page {
+	p := pooledPage(id, len(img))
+	copy(p.Data, img)
+	return p
+}
+
+// Release hands a pooled page image back to the pool and nils Data. The
+// read paths that copy or pread a page (FileStore, the WAL's committed
+// table, Txn) return pooled images; a reader that is done with the bytes
+// may Release them so the next read reuses the buffer instead of
+// allocating one. Releasing is optional — an unreleased image is simply
+// garbage-collected — but after Release the page's bytes belong to the
+// pool, so no slice of Data may be used again. Release is a no-op on a
+// nil page, an unpooled page (MemStore copies, Allocate, caller-built
+// pages) and a page already released.
+func (p *Page) Release() {
+	if p == nil || p.buf == nil {
+		return
+	}
+	p.buf.Release()
+	p.buf = nil
+	p.Data = nil
+}

@@ -1210,8 +1210,8 @@ func (w *WALStore) allocateLocked() (*Page, error) {
 	return p, nil
 }
 
-// Read implements Store: the open batch's staged image, else the committed
-// table, else the base store.
+// Read implements Store: a pooled copy of the open batch's staged image,
+// else of the committed table's, else the base store's read.
 func (w *WALStore) Read(id PageID) (*Page, error) {
 	w.mu.Lock()
 	if err := w.ok(); err != nil {
@@ -1228,19 +1228,17 @@ func (w *WALStore) Read(id PageID) (*Page, error) {
 			return nil, fmt.Errorf("%w: page %d freed in open batch", ErrPageNotFound, id)
 		}
 		if img, ok := w.batch.writes[id]; ok {
-			data := make([]byte, len(img))
-			copy(data, img)
+			p := pooledCopy(id, img)
 			w.stats.reads.Add(1)
 			w.mu.Unlock()
-			return &Page{ID: id, Data: data}, nil
+			return p, nil
 		}
 	}
 	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
+		p := pooledCopy(id, img)
 		w.stats.reads.Add(1)
 		w.mu.Unlock()
-		return &Page{ID: id, Data: data}, nil
+		return p, nil
 	}
 	w.stats.reads.Add(1)
 	w.mu.Unlock()
@@ -1273,8 +1271,9 @@ func (w *WALStore) Snapshot() *WALSnapshot { return &WALSnapshot{w: w} }
 // PageSize returns the store's page size.
 func (s *WALSnapshot) PageSize() int { return s.w.pageSize }
 
-// Read fetches the committed image of the page: the committed table if the
-// page has a not-yet-checkpointed image, else the base store. Pages that
+// Read fetches the committed image of the page: a pooled copy from the
+// committed table if the page has a not-yet-checkpointed image, else the
+// base store's read. Pages that
 // exist only as uncommitted staged allocations are not found; pages staged
 // to be freed in an open batch are still served (the free has not
 // committed).
@@ -1290,11 +1289,10 @@ func (s *WALSnapshot) Read(id PageID) (*Page, error) {
 		return nil, fmt.Errorf("pager: read wal meta page %d: %w", id, ErrReservedPage)
 	}
 	if img, ok := w.table[id]; ok {
-		data := make([]byte, len(img))
-		copy(data, img)
+		p := pooledCopy(id, img)
 		w.mu.Unlock()
 		w.stats.reads.Add(1)
-		return &Page{ID: id, Data: data}, nil
+		return p, nil
 	}
 	w.mu.Unlock()
 	w.stats.reads.Add(1)

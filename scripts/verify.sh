@@ -11,10 +11,10 @@ cd "$(dirname "$0")/.."
 # launches a goroutine anywhere (production or test code) must be listed;
 # TestRaceGateCoverage in internal/analysis parses this assignment and
 # fails if the list falls behind the code.
-RACE_PKGS="./internal/pager/... ./internal/core/... ./internal/twod/... \
-	./internal/kdtree/... ./internal/kinetic/... ./internal/harness/... \
-	./internal/ingest/... ./internal/leakcheck/... ./internal/shard/... \
-	./internal/subscribe/... ./internal/workload/..."
+RACE_PKGS="./internal/pager/... ./internal/bptree/... ./internal/core/... \
+	./internal/twod/... ./internal/kdtree/... ./internal/kinetic/... \
+	./internal/harness/... ./internal/ingest/... ./internal/leakcheck/... \
+	./internal/shard/... ./internal/subscribe/... ./internal/workload/..."
 
 echo "== gofmt -s =="
 unformatted=$(gofmt -s -l .)
@@ -114,6 +114,7 @@ go test -run '^$' -bench . -benchtime=1x ./internal/bptree
 
 echo "== fuzz smoke =="
 go test ./internal/bptree -run '^$' -fuzz '^FuzzDecodeNode$' -fuzztime=10s
+go test ./internal/bptree -run '^$' -fuzz '^FuzzRangeImage$' -fuzztime=10s
 go test ./internal/pager -run '^$' -fuzz '^FuzzDecodeWALRecord$' -fuzztime=10s
 go test ./internal/geom -run '^$' -fuzz '^FuzzClipConvex$' -fuzztime=10s
 go test ./internal/subscribe -run '^$' -fuzz '^FuzzMatcher$' -fuzztime=10s
